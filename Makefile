@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench benchsmoke serve servesmoke
+.PHONY: check fmt vet livebenchvet build test race lint bench benchsmoke serve servesmoke
 
-check: fmt vet build race lint benchsmoke
+check: fmt vet livebenchvet build race lint benchsmoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -13,6 +13,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# livebench is its own module (so ./... never builds it) but imports core,
+# transformer, bench, router and server: vet it so an API change that
+# breaks the benchmark fails the gate.
+livebenchvet:
+	cd livebench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -46,8 +52,8 @@ servesmoke:
 	./scripts/servesmoke.sh
 
 # Full measurement run with a pinned benchtime; writes BENCH_PR10.json
-# (benchmark -> ns/op, ns/token, allocs/op, plus paged-vs-slice,
-# paged-vs-reference, batched-vs-reference, prefix-cache warm-vs-cold,
+# (benchmark -> ns/op, ns/token, allocs/op, plus paged-vs-reference,
+# batched-vs-reference, prefix-cache warm-vs-cold,
 # quantized-vs-float, router affinity-vs-blind, verifier traversal-vs-MSS
 # accept-length, and speculation-policy adaptive-vs-static tokens/sec and
 # p99 comparisons, with host provenance) at the repo root. Compare two

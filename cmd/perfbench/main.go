@@ -1,6 +1,6 @@
 // Command perfbench runs the performance microbenchmark suite
 // (internal/bench.PerfSuite: batched vs reference forward passes, the
-// long-context paged/slice/reference cache sweep, the quantized-vs-float
+// long-context paged/reference cache sweep, the quantized-vs-float
 // weight-streaming sweep, engine iteration at several batch sizes) and
 // writes a machine-readable JSON report with per-benchmark ns/op,
 // ns/token, and allocs/op plus the derived old-vs-new speedups and the
@@ -89,8 +89,8 @@ func deriveSpeedup(name, ref string, b, r Result) Speedup {
 type pairing struct{ key, ref string }
 
 // pairingsFor returns the comparisons a benchmark name participates in
-// as the new path, or nil when the name is a baseline. The paged
-// long-context and policy bursty benchmarks get two comparisons each.
+// as the new path, or nil when the name is a baseline. The policy
+// bursty benchmarks get two comparisons each.
 func pairingsFor(name string) []pairing {
 	switch {
 	case strings.HasSuffix(name, "/batched"):
@@ -101,9 +101,7 @@ func pairingsFor(name string) []pairing {
 		return []pairing{{base, base + "/serial-ref"}}
 	case strings.HasSuffix(name, "/paged"):
 		base := strings.TrimSuffix(name, "/paged")
-		return []pairing{
-			{base + "/vs-slice", base + "/slice"},
-			{base + "/vs-ref", base + "/ref"}}
+		return []pairing{{base + "/vs-ref", base + "/ref"}}
 	case strings.HasSuffix(name, "/warm"):
 		base := strings.TrimSuffix(name, "/warm")
 		return []pairing{{base, base + "/cold"}}
@@ -261,9 +259,7 @@ func main() {
 			pb.Name, int64(nsOp), nsOp/pb.TokensPerOp, r.AllocsPerOp(), extra)
 	}
 
-	// Pair every new-path benchmark with its baseline twin(s). The paged
-	// long-context benchmarks get two comparisons: vs the slice cache
-	// (isolates the layout change) and vs the scalar reference (cumulative).
+	// Pair every new-path benchmark with its baseline twin(s).
 	for _, pb := range suite {
 		b, okB := rep.Benchmarks[pb.Name]
 		if !okB {

@@ -50,7 +50,7 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "dynamic best-first tree expansion")
 		policyOn   = flag.Bool("policy", false, "per-request, per-iteration speculation policy (tree mode; picks tree shape and SSM count from measured accept rate, queue depth and batch occupancy)")
 		ssms       = flag.Int("ssms", 1, "SSM pool size (merge-based speculation if >1)")
-		variant    = flag.String("variant", "", "LLM execution variant: paged|slice|reference|quantized (switches to the transformer substrate; empty = calibrated n-gram substrate)")
+		variant    = flag.String("variant", "", "LLM execution variant: paged|reference|quantized (switches to the transformer substrate; empty = calibrated n-gram substrate)")
 		seed       = flag.Uint64("seed", 1, "engine seed")
 		showText   = flag.Bool("text", true, "print generations as pseudo-text")
 		workers    = flag.Int("workers", 0, "request-step worker pool size, 0 = GOMAXPROCS")

@@ -58,7 +58,7 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "dynamic best-first tree expansion")
 		policyOn   = flag.Bool("policy", false, "per-request, per-iteration speculation policy (tree mode; picks tree shape and SSM count from measured accept rate, queue depth and batch occupancy; surfaced in /metricz)")
 		ssms       = flag.Int("ssms", 1, "SSM pool size (merge-based speculation if >1)")
-		variant    = flag.String("variant", "", "LLM execution variant: paged|slice|reference|quantized (switches to the transformer substrate; empty = calibrated n-gram substrate)")
+		variant    = flag.String("variant", "", "LLM execution variant: paged|reference|quantized (switches to the transformer substrate; empty = calibrated n-gram substrate)")
 		seed       = flag.Uint64("seed", 1, "engine seed")
 		workers    = flag.Int("workers", 0, "request-step worker pool size, 0 = GOMAXPROCS")
 		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")

@@ -89,7 +89,7 @@ func bwModel() *transformer.Model {
 // batched path, "quant" the same path with block-quantized projection
 // weights (the PR 7 tentpole). The two are NOT bit-identical — quant is
 // tolerance-gated — so their twin speedup is a genuine accuracy/speed
-// trade, unlike the paged/slice/ref trio.
+// trade, unlike the bit-identical paged/ref pair.
 func bwSession(kind string) model.Session {
 	m := bwModel()
 	switch kind {
@@ -130,31 +130,15 @@ func perfTree(w int) *tree.Tree {
 	return tr
 }
 
-// session opens an LLM session on the requested path.
+// perfSession opens an LLM session on one of the two bit-identical
+// paths: the batched forward over the paged KV arena (the default), or
+// the scalar Reference() oracle over its own slice cache.
 func perfSession(reference bool) model.Session {
-	if reference {
-		return perfSessionKind("ref")
-	}
-	return perfSessionKind("paged")
-}
-
-// perfSessionKind opens an LLM session on one of the three bit-identical
-// variants: "paged" (batched forward, head-major paged KV arena — the
-// default), "slice" (batched forward, PR 2 per-position slice cache), or
-// "ref" (scalar forward, slice cache). paged-vs-slice isolates the cache
-// layout; paged-vs-ref is the cumulative speedup over the pre-batching
-// baseline.
-func perfSessionKind(kind string) model.Session {
 	llm, _ := perfModels()
-	switch kind {
-	case "paged":
-		return llm.NewSession()
-	case "slice":
-		return llm.SliceCache().NewSession()
-	case "ref":
+	if reference {
 		return llm.Reference().NewSession()
 	}
-	panic("bench: unknown session kind " + kind)
+	return llm.NewSession()
 }
 
 func prefillBench(reference bool) func(*testing.B) {
@@ -220,9 +204,9 @@ func treeBench(width int, reference bool) func(*testing.B) {
 // accepting, so the context length is pinned for the whole measurement:
 // w=1 is an 8-token chain (incremental-decode shape), larger widths are
 // tree verification.
-func longCtxBench(ctxLen, width int, kind string) func(*testing.B) {
+func longCtxBench(ctxLen, width int, reference bool) func(*testing.B) {
 	return func(b *testing.B) {
-		s := perfSessionKind(kind)
+		s := perfSession(reference)
 		// Build the committed context the way a served request does: half
 		// arrives as the prompt in one prefill, half is generated token by
 		// token. Growing the cache one forward at a time is what scatters a
@@ -458,7 +442,7 @@ func routerBench(cfg RouterTraceConfig) func(*testing.B) {
 // PerfSuite returns the full microbenchmark suite: batched vs reference
 // forward passes (prefill, decode, tree verification at widths 1–5), the
 // long-context cache-layout sweep (committed context 128/512/1024 on the
-// paged, slice, and reference variants), the quantized-vs-float weight
+// paged and reference variants), the quantized-vs-float weight
 // streaming sweep on the wide bandwidth model, and the engine iteration
 // loop at batch sizes 1–16, plus the serial pre-batching engine baseline
 // at batch 8.
@@ -477,19 +461,22 @@ func PerfSuite() []PerfBenchmark {
 		add(perfTreeName(w, true), n, treeBench(w, true))
 	}
 	// Long-context sweep: the PR 3 cache-layout benchmarks. Every point
-	// runs on all three bit-identical variants so the report derives both
-	// paged-vs-slice (layout win) and paged-vs-ref (cumulative) speedups.
-	kinds := []string{"paged", "slice", "ref"}
+	// runs on both bit-identical variants so the report derives the
+	// paged-vs-ref speedup.
+	kinds := []struct {
+		name      string
+		reference bool
+	}{{"paged", false}, {"ref", true}}
 	chain := float64(perfTree(1).Len())
 	for _, c := range []int{128, 512, 1024} {
-		for _, kind := range kinds {
-			add(fmt.Sprintf("forward/longctx/c%d/decode8/%s", c, kind), chain,
-				longCtxBench(c, 1, kind))
+		for _, k := range kinds {
+			add(fmt.Sprintf("forward/longctx/c%d/decode8/%s", c, k.name), chain,
+				longCtxBench(c, 1, k.reference))
 		}
 	}
 	w4 := float64(perfTree(4).Len())
-	for _, kind := range kinds {
-		add("forward/longctx/c1024/tree-w4/"+kind, w4, longCtxBench(1024, 4, kind))
+	for _, k := range kinds {
+		add("forward/longctx/c1024/tree-w4/"+k.name, w4, longCtxBench(1024, 4, k.reference))
 	}
 	// PR 7 tentpole scenario: quantized vs float weight streaming on the
 	// wide bandwidth model at long context (gate: quant >= 1.5x float on

@@ -70,7 +70,7 @@ func Table2(cfg Table2Config) []Table2Row {
 			p := Models(ds)
 			row := Table2Row{Mode: mode, Dataset: ds.Name}
 			for k := 1; k <= 5; k++ {
-				row.Avg[k-1] = avgVerified(p, mode, tree.WidthConfig(k), cfg.Requests, cfg.GenLen, false)
+				row.Avg[k-1] = avgVerified(p, mode, tree.WidthConfig(k), cfg.Requests, cfg.GenLen, core.VerifierMSS)
 			}
 			rows = append(rows, row)
 		}
@@ -79,12 +79,12 @@ func Table2(cfg Table2Config) []Table2Row {
 }
 
 // avgVerified runs the engine and returns mean committed tokens per step.
-func avgVerified(p Pair, mode sampling.Mode, exp tree.ExpansionConfig, nReq, genLen int, naive bool) float64 {
+func avgVerified(p Pair, mode sampling.Mode, exp tree.ExpansionConfig, nReq, genLen int, verifier string) float64 {
 	res, _ := runEngine(p, core.Config{
-		Mode:          core.TreeSpec,
-		Expansion:     exp,
-		Sample:        sampling.Config{Mode: mode, Temperature: 1},
-		NaiveSampling: naive,
+		Mode:      core.TreeSpec,
+		Expansion: exp,
+		Sample:    sampling.Config{Mode: mode, Temperature: 1},
+		Verifier:  verifier,
 	}, nReq, 8, genLen)
 	var per []float64
 	for _, r := range res {
@@ -108,8 +108,8 @@ func Table3(cfg Table2Config) []Table3Row {
 	var rows []Table3Row
 	for _, ds := range cfg.Datasets {
 		p := Models(ds)
-		naive := avgVerified(p, sampling.Stochastic, tree.WidthConfig(5), cfg.Requests, cfg.GenLen, true)
-		mss := avgVerified(p, sampling.Stochastic, tree.WidthConfig(5), cfg.Requests, cfg.GenLen, false)
+		naive := avgVerified(p, sampling.Stochastic, tree.WidthConfig(5), cfg.Requests, cfg.GenLen, core.VerifierNaive)
+		mss := avgVerified(p, sampling.Stochastic, tree.WidthConfig(5), cfg.Requests, cfg.GenLen, core.VerifierMSS)
 		rows = append(rows, Table3Row{
 			Dataset: ds.Name, Naive: naive, MSS: mss, Improvement: mss / naive,
 		})

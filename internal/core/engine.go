@@ -77,19 +77,12 @@ type Config struct {
 	// written to slot-indexed arrays, so no observable state depends on
 	// goroutine interleaving.
 	Workers int
-	// EOS is the end-of-sequence token id: generation stops once a step
-	// commits it. Disabling is explicit: set NoEOS (-1), which is also
-	// what withDefaults maps the zero value to, since a zero-initialized
-	// Config must keep meaning "no EOS" (the synthetic workloads have no
-	// natural EOS and the benchmarks run with it disabled, like the
-	// paper's fixed 128-token generations). Because the zero value is
-	// reserved for "unset", token id 0 — where real tokenizers commonly
-	// place special tokens — is selected with UseZeroEOS instead.
-	EOS model.Token
-	// UseZeroEOS marks token id 0 as the EOS token, which the EOS field
-	// alone cannot express (its zero value means "disabled"). Setting
-	// both UseZeroEOS and a positive EOS is a configuration error.
-	UseZeroEOS bool
+	// EOS, when non-nil, is the end-of-sequence token id: generation
+	// stops once a step commits it. Nil means no EOS — every request runs
+	// to its MaxNewTok budget (the synthetic workloads have no natural
+	// EOS and the benchmarks run without one, like the paper's fixed
+	// 128-token generations). Any id, 0 included, can be selected.
+	EOS *model.Token
 	// Seed drives all engine randomness (per-request streams are split
 	// from it, so results are independent of batch interleaving).
 	Seed uint64
@@ -97,12 +90,11 @@ type Config struct {
 	// semantics unchanged up to the variant's documented tolerance): the
 	// LLM must implement model.Varianter and recognize the name, or
 	// NewEngine fails. The transformer substrate accepts "paged" (the
-	// default), "slice", "reference", and "quantized" (7-bit
-	// block-quantized projection weights — the only variant that is not
-	// bit-exact with the others). Empty means the model as given. The
-	// variant applies to the LLM only; SSMs are small enough that their
-	// weight streaming is not the bandwidth term worth trading accuracy
-	// for.
+	// default), "reference", and "quantized" (7-bit block-quantized
+	// projection weights — the only variant that is not bit-exact with
+	// the others). Empty means the model as given. The variant applies
+	// to the LLM only; SSMs are small enough that their weight streaming
+	// is not the bandwidth term worth trading accuracy for.
 	Variant string
 	// ForceTopK forces top-k expansion even under stochastic decoding
 	// (see speculator.Config).
@@ -114,12 +106,6 @@ type Config struct {
 	// or VerifierNaive (the naive-sampling ablation baseline of Table 3).
 	// Ignored under greedy decoding, which always uses argmax descent.
 	Verifier string
-	// NaiveSampling replaces multi-step speculative sampling with the
-	// naive-sampling baseline during stochastic verification (the ablation
-	// of Table 3). Ignored under greedy decoding. Deprecated alias for
-	// Verifier = VerifierNaive; setting both to conflicting values is a
-	// configuration error.
-	NaiveSampling bool
 	// Adaptive, when non-nil, replaces the static expansion configuration
 	// with dynamic best-first tree growth (the paper's stated future
 	// work; see speculator.AdaptiveConfig). TreeSpec mode only; uses the
@@ -157,20 +143,12 @@ type Config struct {
 	// with ErrDrainTimeout. Zero waits for all in-flight requests to
 	// finish, however long they take.
 	DrainTimeout time.Duration
-	// LatencyWindow is the number of recent completed requests whose
-	// latency/queue-delay the live stats retain for quantiles (see
-	// ServeStats). Defaults to 1024.
-	LatencyWindow int
 	// Clock supplies wall-clock time for live serving (queue-delay and
 	// latency accounting in Serve/Submit). nil defaults to the real
 	// clock. The offline Run/RunOnline paths never read it — their
 	// determinism does not depend on this field.
 	Clock func() time.Time
 }
-
-// NoEOS is the explicit "no end-of-sequence token" sentinel for
-// Config.EOS: generation runs to each request's MaxNewTok budget.
-const NoEOS model.Token = -1
 
 // Stochastic verifier selectors for Config.Verifier.
 const (
@@ -200,24 +178,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
 	}
-	switch {
-	case c.UseZeroEOS:
-		c.EOS = 0
-	case c.EOS <= 0:
-		c.EOS = NoEOS // zero value = unset, negatives normalize to the sentinel
+	if c.EOS != nil {
+		eos := *c.EOS // the engine must not see later writes through the caller's pointer
+		c.EOS = &eos
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
-	if c.LatencyWindow == 0 {
-		c.LatencyWindow = 1024
-	}
 	if c.Verifier == "" {
-		if c.NaiveSampling {
-			c.Verifier = VerifierNaive
-		} else {
-			c.Verifier = VerifierMSS
-		}
+		c.Verifier = VerifierMSS
 	}
 	if c.Clock == nil {
 		//lint:ignore nondeterminism live serving measures real wall-clock queueing/latency; the offline deterministic paths never read Clock
@@ -250,9 +219,6 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("core: unknown verifier %q (want %s, %s or %s)",
 			c.Verifier, VerifierMSS, VerifierNaive, VerifierTraversal)
-	}
-	if c.NaiveSampling && c.Verifier != VerifierNaive {
-		return fmt.Errorf("core: NaiveSampling conflicts with Verifier=%q; pick one", c.Verifier)
 	}
 	if c.Policy != nil {
 		if c.Mode != TreeSpec {
@@ -369,7 +335,8 @@ type IterationRecord struct {
 }
 
 // Engine serves requests: offline traces via Run/RunOnline, live
-// traffic via Serve/Submit (see serve.go).
+// traffic via Serve/Submit (see serve.go). All three drive the one
+// scheduler loop of schedule.go.
 type Engine struct {
 	cfg Config
 
@@ -380,12 +347,6 @@ type Engine struct {
 	// pol is the speculation policy controller, non-nil when
 	// Config.Policy is set (see policy.go).
 	pol *policy.Controller
-	// simQueued is RunOnline's admission backlog — arrivals at or before
-	// the simulated clock still waiting for a slot — surfaced to the
-	// policy as the queue-depth signal the live path reads from the
-	// serve queue. Written and read only on the co-simulation
-	// goroutine; always zero outside RunOnline.
-	simQueued int
 
 	// mu guards srv, the live-serving state installed by Serve. The
 	// offline paths never touch it.
@@ -395,9 +356,6 @@ type Engine struct {
 
 // NewEngine validates the configuration and returns an engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.UseZeroEOS && cfg.EOS > 0 {
-		return nil, fmt.Errorf("core: UseZeroEOS conflicts with EOS=%d; pick one", cfg.EOS)
-	}
 	cfg = cfg.withDefaults()
 	if cfg.Variant != "" && cfg.LLM != nil {
 		v, ok := cfg.LLM.(model.Varianter)
@@ -433,7 +391,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // reqState is the per-request serving state held while a request occupies
 // a continuous-batching slot.
 type reqState struct {
-	pos      int // index into the Run input slice
+	pos      int // index into the trace (trace source only)
 	req      workload.Request
 	llm      model.Session
 	spec     treeSpeculator // nil for incremental decoding
@@ -442,53 +400,24 @@ type reqState struct {
 	rng      *tensor.RNG
 	res      RequestResult
 	done     bool
-	// verr is the verification error that retired the request, if any
-	// (also recorded in res.Err; kept separately so the live path can
-	// finish the submission with it).
-	verr error
 	// live is the submission handle when the request arrived through
-	// Submit (nil on the offline Run/RunOnline paths).
+	// Submit (nil on the trace paths Run/RunOnline).
 	live *liveReq
 }
 
 // Run serves the trace to completion with continuous batching and returns
 // one result per request (in request order) plus the per-iteration records
-// the hardware cost model consumes.
+// the hardware cost model consumes. It is RunOnline with every request
+// arriving at t=0 and iterations that take no simulated time.
 func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecord) {
-	results := make([]RequestResult, len(reqs))
-	var iters []IterationRecord
-
-	pending := make([]int, len(reqs)) // indices into reqs
-	for i := range pending {
-		pending[i] = i
+	timed := make([]TimedRequest, len(reqs))
+	for i, r := range reqs {
+		timed[i].Request = r
 	}
-	var active []*reqState
-
-	for len(pending) > 0 || len(active) > 0 {
-		// Admission: iteration-level scheduling (Orca). New requests are
-		// admitted (and prefilled) as soon as a slot frees up, without
-		// waiting for the whole batch to drain.
-		for len(active) < e.cfg.MaxBatch && len(pending) > 0 {
-			idx := pending[0]
-			pending = pending[1:]
-			st := e.admit(reqs[idx])
-			st.pos = idx
-			active = append(active, st)
-		}
-
-		iters = append(iters, e.runIteration(active))
-
-		// Retire finished requests.
-		var still []*reqState
-		for _, st := range active {
-			if st.done {
-				results[st.pos] = st.res
-				e.release(st)
-			} else {
-				still = append(still, st)
-			}
-		}
-		active = still
+	online, iters := e.RunOnline(timed, func(IterationRecord) float64 { return 0 })
+	results := make([]RequestResult, len(online))
+	for i, r := range online {
+		results[i] = r.RequestResult
 	}
 	return results, iters
 }
@@ -501,13 +430,16 @@ func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecor
 // session, speculator sessions, RNG stream) is confined to one worker at
 // a time, and the shared models are read-only during serving, which keeps
 // the loop race-clean (the engine tests run it under -race).
-func (e *Engine) runIteration(active []*reqState) IterationRecord {
+//
+// backlog is the number of arrived requests still waiting for a slot,
+// the queue-depth input of the speculation policy.
+func (e *Engine) runIteration(active []*reqState, backlog int) IterationRecord {
 	rec := IterationRecord{BatchSize: len(active)}
 	if e.cfg.Mode != Incremental {
 		rec.SpecSteps = e.specDepth()
 	}
 	if e.pol != nil {
-		e.decidePolicy(active, &rec)
+		e.decidePolicy(active, backlog, &rec)
 	}
 	shapes := make([]stepShape, len(active))
 	nw := e.cfg.Workers
@@ -706,7 +638,6 @@ func (e *Engine) step(st *reqState) stepShape {
 	if verr != nil {
 		// A malformed speculated tree fails this one request, not the
 		// replica: retire it with the error and commit nothing.
-		st.verr = verr
 		st.res.Err = verr
 		st.done = true
 		return stepShape{nodes: tr.NumSpeculated(), specAccepted: -1}
@@ -741,9 +672,9 @@ func (e *Engine) truncate(st *reqState, verified []model.Token) []model.Token {
 	if remaining := st.req.MaxNewTok - len(st.res.Output); len(verified) > remaining {
 		verified = verified[:remaining]
 	}
-	if e.cfg.EOS >= 0 {
+	if e.cfg.EOS != nil {
 		for i, tok := range verified {
-			if tok == e.cfg.EOS {
+			if tok == *e.cfg.EOS {
 				return verified[:i+1]
 			}
 		}
@@ -760,7 +691,7 @@ func (e *Engine) commit(st *reqState, tokens []model.Token) {
 	if len(st.res.Output) >= st.req.MaxNewTok {
 		st.done = true
 	}
-	if e.cfg.EOS >= 0 && len(tokens) > 0 && tokens[len(tokens)-1] == e.cfg.EOS {
+	if e.cfg.EOS != nil && len(tokens) > 0 && tokens[len(tokens)-1] == *e.cfg.EOS {
 		st.done = true
 	}
 }

@@ -165,7 +165,7 @@ func TestEOSStopsGeneration(t *testing.T) {
 	eos := res[0].Output[5]
 	res2, _ := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Sample: sampling.GreedyConfig(), Seed: 9, EOS: eos,
+		Sample: sampling.GreedyConfig(), Seed: 9, EOS: &eos,
 	}, reqs[:1])
 	out := res2[0].Output
 	if out[len(out)-1] != eos {
@@ -651,35 +651,24 @@ func (s *constSession) Accept(toks []model.Token) []float32 { s.n += len(toks); 
 func (s *constSession) Len() int                            { return s.n }
 
 // TestZeroTokenEOS: real tokenizers commonly place special tokens at id
-// 0; UseZeroEOS must make token 0 terminate generation, while the zero
-// Config value and the explicit NoEOS sentinel both keep EOS disabled.
+// 0; EOS = &0 must make token 0 terminate generation, while a nil EOS
+// keeps EOS disabled.
 func TestZeroTokenEOS(t *testing.T) {
 	llm := constModel{vocab: 8, tok: 0}
 	reqs := []workload.Request{{ID: 0, Prompt: []int{3, 2}, MaxNewTok: 16}}
+	zero := model.Token(0)
 
 	stops, _ := run(t, Config{
 		Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(), Seed: 1,
-		UseZeroEOS: true,
+		EOS: &zero,
 	}, reqs)
 	if len(stops[0].Output) != 1 || stops[0].Output[0] != 0 {
 		t.Fatalf("token-0 EOS must stop after one token, got %v", stops[0].Output)
 	}
 
-	for _, cfg := range []Config{
-		{Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(), Seed: 1},             // unset
-		{Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(), Seed: 1, EOS: NoEOS}, // explicit
-	} {
-		res, _ := run(t, cfg, reqs)
-		if len(res[0].Output) != 16 {
-			t.Fatalf("EOS disabled (EOS=%d) must run to budget, got %d tokens", cfg.EOS, len(res[0].Output))
-		}
-	}
-
-	if _, err := NewEngine(Config{
-		Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(),
-		UseZeroEOS: true, EOS: 5,
-	}); err == nil {
-		t.Fatal("conflicting UseZeroEOS + positive EOS must be rejected")
+	res, _ := run(t, Config{Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(), Seed: 1}, reqs)
+	if len(res[0].Output) != 16 {
+		t.Fatalf("EOS disabled (nil) must run to budget, got %d tokens", len(res[0].Output))
 	}
 }
 
@@ -689,9 +678,10 @@ func TestZeroTokenEOSTreeSpec(t *testing.T) {
 	llm := constModel{vocab: 8, tok: 0}
 	ssm := constModel{vocab: 8, tok: 0}
 	reqs := []workload.Request{{ID: 0, Prompt: []int{3, 2}, MaxNewTok: 16}}
+	zero := model.Token(0)
 	res, _ := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Sample: sampling.GreedyConfig(), Seed: 1, UseZeroEOS: true,
+		Sample: sampling.GreedyConfig(), Seed: 1, EOS: &zero,
 	}, reqs)
 	out := res[0].Output
 	if len(out) == 0 || out[len(out)-1] != 0 {
@@ -704,9 +694,8 @@ func TestZeroTokenEOSTreeSpec(t *testing.T) {
 	}
 }
 
-// TestVerifierSelection: Config.Verifier wiring — the MSS default, the
-// deprecated NaiveSampling alias, and rejection of unknown or conflicting
-// selections.
+// TestVerifierSelection: Config.Verifier wiring — the MSS default and
+// rejection of unknown selections.
 func TestVerifierSelection(t *testing.T) {
 	llm, ssm, _ := testModels(t, 1, 1)
 	base := func() Config {
@@ -722,25 +711,9 @@ func TestVerifierSelection(t *testing.T) {
 	}
 
 	cfg := base()
-	cfg.NaiveSampling = true
-	if e, err = NewEngine(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if e.cfg.Verifier != VerifierNaive {
-		t.Fatalf("NaiveSampling alias resolved to %q, want %q", e.cfg.Verifier, VerifierNaive)
-	}
-
-	cfg = base()
 	cfg.Verifier = "banzai"
 	if _, err := NewEngine(cfg); err == nil {
 		t.Fatal("unknown verifier must fail validation")
-	}
-
-	cfg = base()
-	cfg.NaiveSampling = true
-	cfg.Verifier = VerifierMSS
-	if _, err := NewEngine(cfg); err == nil {
-		t.Fatal("NaiveSampling + Verifier=mss must conflict")
 	}
 
 	for _, v := range []string{VerifierMSS, VerifierNaive, VerifierTraversal} {

@@ -46,68 +46,75 @@ func (e *Engine) RunOnline(reqs []TimedRequest, pricer IterationPricer) ([]Onlin
 	if pricer == nil {
 		panic("core: RunOnline requires an iteration pricer")
 	}
-	results := make([]OnlineResult, len(reqs))
+	src := &traceSource{e: e, reqs: reqs, pricer: pricer, results: make([]OnlineResult, len(reqs))}
 	for i, r := range reqs {
-		results[i] = OnlineResult{Arrival: r.Arrival}
+		src.results[i] = OnlineResult{Arrival: r.Arrival}
 	}
-
 	// Pending queue in arrival order (stable for ties).
-	pending := make([]int, len(reqs))
-	for i := range pending {
-		pending[i] = i
+	src.pending = make([]int, len(reqs))
+	for i := range src.pending {
+		src.pending[i] = i
 	}
-	sort.SliceStable(pending, func(a, b int) bool {
-		return reqs[pending[a]].Arrival < reqs[pending[b]].Arrival
+	sort.SliceStable(src.pending, func(a, b int) bool {
+		return reqs[src.pending[a]].Arrival < reqs[src.pending[b]].Arrival
 	})
-
-	var iters []IterationRecord
-	var active []*reqState
-	clock := 0.0
-
-	for len(pending) > 0 || len(active) > 0 {
-		for len(active) < e.cfg.MaxBatch && len(pending) > 0 &&
-			reqs[pending[0]].Arrival <= clock {
-			idx := pending[0]
-			pending = pending[1:]
-			st := e.admit(reqs[idx].Request)
-			st.pos = idx
-			results[idx].Start = clock
-			active = append(active, st)
-		}
-		if len(active) == 0 {
-			// Idle until the next arrival.
-			clock = reqs[pending[0]].Arrival
-			continue
-		}
-		// Expose the ready-but-unadmitted backlog to the speculation
-		// policy (pending is sorted by arrival, so the prefix counts).
-		e.simQueued = 0
-		for _, idx := range pending {
-			if reqs[idx].Arrival > clock {
-				break
-			}
-			e.simQueued++
-		}
-
-		rec := e.runIteration(active)
-		iters = append(iters, rec)
-		clock += pricer(rec)
-
-		var still []*reqState
-		for _, st := range active {
-			if st.done {
-				results[st.pos].RequestResult = st.res
-				results[st.pos].Finish = clock
-				e.release(st)
-			} else {
-				still = append(still, st)
-			}
-		}
-		active = still
-	}
-	e.simQueued = 0
-	return results, iters
+	e.schedule(src)
+	return src.results, src.iters
 }
+
+// traceSource is the arrival source of RunOnline: a fixed trace replayed
+// against a simulated clock that each iteration advances by its priced
+// duration. It never reads Config.Clock, so its results are a pure
+// function of the trace and the configuration.
+type traceSource struct {
+	e       *Engine
+	reqs    []TimedRequest
+	pricer  IterationPricer
+	pending []int   // indices into reqs not yet admitted, by arrival
+	clock   float64 // simulated seconds
+	results []OnlineResult
+	iters   []IterationRecord
+}
+
+func (t *traceSource) admit(active []*reqState) []*reqState {
+	if len(active) == 0 && len(t.pending) > 0 {
+		// Idle until the next arrival.
+		t.clock = max(t.clock, t.reqs[t.pending[0]].Arrival)
+	}
+	for len(active) < t.e.cfg.MaxBatch && len(t.pending) > 0 &&
+		t.reqs[t.pending[0]].Arrival <= t.clock {
+		idx := t.pending[0]
+		t.pending = t.pending[1:]
+		st := t.e.admit(t.reqs[idx].Request)
+		st.pos = idx
+		t.results[idx].Start = t.clock
+		active = append(active, st)
+	}
+	return active
+}
+
+func (t *traceSource) prune(active []*reqState) []*reqState { return active }
+
+// backlog counts the pending arrivals at or before the clock (pending is
+// sorted by arrival, so they form a prefix).
+func (t *traceSource) backlog() int {
+	return sort.Search(len(t.pending), func(i int) bool {
+		return t.reqs[t.pending[i]].Arrival > t.clock
+	})
+}
+
+func (t *traceSource) stepped(rec IterationRecord) {
+	t.iters = append(t.iters, rec)
+	t.clock += t.pricer(rec)
+}
+
+func (t *traceSource) retire(st *reqState) {
+	t.results[st.pos].RequestResult = st.res
+	t.results[st.pos].Finish = t.clock
+	t.e.release(st)
+}
+
+func (t *traceSource) settle([]*reqState) {}
 
 // PoissonArrivals draws n arrival times from a Poisson process with the
 // given mean rate (requests per second), returning them in ascending

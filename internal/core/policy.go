@@ -109,12 +109,10 @@ func pruneByPathProb(tr *tree.Tree, budget int) *tree.Tree {
 // a pure function of batch order and observed accept lengths and the
 // engine's any-Workers determinism holds. The mode is batch-global (its
 // inputs — queue depth and occupancy — are shared); the budget is
-// per-request (scaled by each request's accept-length EWMA).
-func (e *Engine) decidePolicy(active []*reqState, rec *IterationRecord) {
-	// The admission backlog: the live serve queue, or RunOnline's
-	// ready-but-unadmitted arrivals during co-simulation (one of the two
-	// is always zero).
-	queueLen := e.QueueLen() + e.simQueued
+// per-request (scaled by each request's accept-length EWMA). queueLen is
+// the arrival source's backlog: requests that have arrived but hold no
+// slot yet.
+func (e *Engine) decidePolicy(active []*reqState, queueLen int, rec *IterationRecord) {
 	rec.PolicyMode = e.pol.ModeFor(queueLen, len(active), e.cfg.MaxBatch).String()
 	depth := 0
 	for _, st := range active {

@@ -11,9 +11,9 @@ import (
 // prefixSharer is the optional session capability the prefix cache
 // needs: access to the paged arena (for inserting committed prompt
 // pages) and a prefill that adopts a cached prefix. transformer.Session
-// implements it; sessions that do not (ngram, reference/slice-cache
-// transformers) fall back to cold prefill transparently, following the
-// repo's structural-optional-interface convention (model.Closer,
+// implements it; sessions that do not (ngram, reference transformers)
+// fall back to cold prefill transparently, following the repo's
+// structural-optional-interface convention (model.Closer,
 // model.CacheSizer).
 type prefixSharer interface {
 	Arena() *kvcache.Arena

@@ -21,6 +21,11 @@ import (
 // of reporting a stale lifetime average as if it were current.
 const recentThroughputSamples = 128
 
+// latencyWindow is the number of recent completed requests whose
+// latency and queue delay the live stats retain for quantiles (see
+// ServeStats).
+const latencyWindow = 1024
+
 // Live-serving errors. The HTTP layer maps them to status codes
 // (ErrQueueFull -> 429, ErrDraining/ErrNotServing -> 503).
 var (
@@ -171,7 +176,7 @@ type ServeStats struct {
 	RecentTokensPerSec  float64
 	RecentWindowSeconds float64
 	// Latency and QueueDelay summarize the most recent completed
-	// requests (Config.LatencyWindow of them), in seconds.
+	// requests (latencyWindow of them), in seconds.
 	Latency, QueueDelay metrics.Summary
 	// LatencySamples and QueueDelaySamples are the raw retained samples
 	// behind the two summaries, exported so a multi-replica rollup can
@@ -217,8 +222,8 @@ func (e *Engine) Serve(ctx context.Context) error {
 		admit:      make(chan *liveReq, e.cfg.QueueDepth),
 		clock:      e.cfg.Clock,
 		started:    e.cfg.Clock(),
-		latency:    metrics.NewWindow(e.cfg.LatencyWindow),
-		queueDelay: metrics.NewWindow(e.cfg.LatencyWindow),
+		latency:    metrics.NewWindow(latencyWindow),
+		queueDelay: metrics.NewWindow(latencyWindow),
 		recentT:    metrics.NewWindow(recentThroughputSamples),
 		recentC:    metrics.NewWindow(recentThroughputSamples),
 	}
@@ -230,95 +235,143 @@ func (e *Engine) Serve(ctx context.Context) error {
 	e.srv = s
 	e.mu.Unlock()
 	defer e.stopServing(s)
+	e.schedule(&liveSource{e: e, s: s, ctx: ctx})
+	return nil
+}
 
-	var active []*reqState
-	draining := false
-	var drainDeadline time.Time
+// liveSource is the arrival source of Serve: requests arrive on the
+// Submit queue, are stamped with Config.Clock, and stream their tokens
+// as iterations commit them. Its fields are confined to the scheduler
+// goroutine.
+type liveSource struct {
+	e             *Engine
+	s             *serveState
+	ctx           context.Context
+	draining      bool
+	drainDeadline time.Time // zero: no DrainTimeout
+}
 
+// admit fills free slots from the queue without blocking, and blocks
+// for the next submission (or shutdown) only while the batch is empty.
+func (l *liveSource) admit(active []*reqState) []*reqState {
 	for {
 		// Enter draining at the first sign of shutdown. Queued-but-
 		// unadmitted requests are retired with ErrDraining right here,
 		// not when the loop exits: their clients should see the 503
 		// immediately, not after the longest in-flight request finishes.
-		if !draining && ctx.Err() != nil {
-			draining = true
-			s.setDraining()
-			e.rejectQueued(s)
-			if e.cfg.DrainTimeout > 0 {
-				drainDeadline = s.clock().Add(e.cfg.DrainTimeout)
+		if !l.draining && l.ctx.Err() != nil {
+			l.draining = true
+			l.s.setDraining()
+			l.s.rejectQueued()
+			if l.e.cfg.DrainTimeout > 0 {
+				l.drainDeadline = l.s.clock().Add(l.e.cfg.DrainTimeout)
 			}
 		}
-
-		// Admission: fill free slots from the queue without blocking
-		// (iteration-level scheduling — new requests join as soon as a
-		// slot frees up, not when the batch drains). Dead-context
-		// requests are swept out of the queue first so they never hold
-		// a queue slot against live submitters (a full-but-dead queue
-		// would bounce Submit with spurious ErrQueueFull).
-		if !draining {
-			e.sweepQueue(s)
-		fill:
-			for len(active) < e.cfg.MaxBatch {
-				select {
-				case lr := <-s.admit:
-					if st := e.admitLive(s, lr); st != nil {
-						active = append(active, st)
-					}
-				default:
-					break fill
-				}
-			}
+		if l.draining {
+			// In-flight work only; an empty batch ends the loop, and
+			// leftovers in the queue are rejected by stopServing.
+			return active
 		}
-
-		if len(active) == 0 {
-			if draining {
-				break // in-flight work done; leftovers in the queue are rejected by stopServing
-			}
-			s.setActive(active)
-			// Idle: block until a request arrives or shutdown starts.
+		// Dead-context requests are swept out of the queue first so they
+		// never hold a queue slot against live submitters (a
+		// full-but-dead queue would bounce Submit with spurious
+		// ErrQueueFull).
+		l.s.sweepQueue()
+	fill:
+		for len(active) < l.e.cfg.MaxBatch {
 			select {
-			case lr := <-s.admit:
-				if st := e.admitLive(s, lr); st != nil {
-					active = append(active, st)
-				}
-			case <-ctx.Done():
-			}
-			continue
-		}
-
-		// Retire cancelled and deadline-expired requests at the
-		// iteration boundary, before paying for their step.
-		active = e.sweepCancelled(s, active)
-
-		// Hard drain bound: abort whatever is still in flight.
-		if draining && !drainDeadline.IsZero() && !s.clock().Before(drainDeadline) {
-			for _, st := range active {
-				e.finishLive(s, st, ErrDrainTimeout)
-			}
-			active = nil
-		}
-		if len(active) == 0 {
-			s.setActive(active)
-			continue
-		}
-
-		rec := e.runIteration(active)
-		s.recordIteration(rec)
-
-		// Stream newly committed tokens; retire finished requests.
-		var still []*reqState
-		for _, st := range active {
-			if st.done {
-				e.finishLive(s, st, st.verr)
-			} else {
-				st.live.stream(st.res.Output)
-				still = append(still, st)
+			case lr := <-l.s.admit:
+				active = l.admitOne(active, lr)
+			default:
+				break fill
 			}
 		}
-		active = still
-		s.setActive(active)
+		if len(active) > 0 {
+			return active
+		}
+		// Idle: block until a request arrives or shutdown starts.
+		select {
+		case lr := <-l.s.admit:
+			active = l.admitOne(active, lr)
+		case <-l.ctx.Done():
+		}
 	}
-	return nil
+}
+
+// admitOne moves a queued request into a batching slot: prefill both
+// sessions and record its admission time. A request whose context is
+// already dead is retired immediately instead.
+func (l *liveSource) admitOne(active []*reqState, lr *liveReq) []*reqState {
+	if err := lr.ctx.Err(); err != nil {
+		l.s.mu.Lock()
+		l.s.canceled++
+		l.s.mu.Unlock()
+		l.s.refuse(lr, err)
+		return active
+	}
+	lr.started = l.s.clock()
+	st := l.e.admit(lr.req)
+	st.live = lr
+	return append(active, st)
+}
+
+// prune retires cancelled and deadline-expired requests at the
+// iteration boundary, before paying for their step, and — past the
+// DrainTimeout — aborts whatever is still in flight.
+func (l *liveSource) prune(active []*reqState) []*reqState {
+	still := active[:0]
+	for _, st := range active {
+		if err := st.live.ctx.Err(); err != nil {
+			l.finish(st, err)
+		} else {
+			still = append(still, st)
+		}
+	}
+	if !l.drainDeadline.IsZero() && !l.s.clock().Before(l.drainDeadline) {
+		for _, st := range still {
+			l.finish(st, ErrDrainTimeout)
+		}
+		still = nil
+	}
+	clear(active[len(still):])
+	return still
+}
+
+func (l *liveSource) backlog() int { return len(l.s.admit) }
+
+func (l *liveSource) stepped(rec IterationRecord) { l.s.recordIteration(rec) }
+
+func (l *liveSource) retire(st *reqState) { l.finish(st, st.res.Err) }
+
+// settle streams newly committed tokens and publishes the batch.
+func (l *liveSource) settle(active []*reqState) {
+	for _, st := range active {
+		st.live.stream(st.res.Output)
+	}
+	l.s.setActive(active)
+}
+
+// finish retires one live request: release its sessions, deliver the
+// Result, and record its latency.
+func (l *liveSource) finish(st *reqState, err error) {
+	l.e.release(st)
+	now := l.s.clock()
+	res := Result{
+		RequestResult: st.res,
+		Err:           err,
+		QueueDelay:    st.live.started.Sub(st.live.submitted),
+		Latency:       now.Sub(st.live.submitted),
+	}
+	l.s.mu.Lock()
+	if err == nil {
+		l.s.completed++
+	} else {
+		l.s.canceled++
+	}
+	l.s.latency.Add(res.Latency.Seconds())
+	l.s.queueDelay.Add(res.QueueDelay.Seconds())
+	l.s.mu.Unlock()
+	st.live.finish(res)
 }
 
 // Submit hands a request to the running Serve loop. On acceptance it
@@ -379,9 +432,7 @@ func (e *Engine) Submit(ctx context.Context, req workload.Request) (<-chan model
 // ServeStats snapshots the live serving loop. The zero value (Serving
 // false) is returned when no Serve loop is running.
 func (e *Engine) ServeStats() ServeStats {
-	e.mu.Lock()
-	s := e.srv
-	e.mu.Unlock()
+	s := e.serving()
 	var prefix kvcache.PrefixStats
 	if e.prefix != nil {
 		prefix = e.prefix.Stats()
@@ -458,9 +509,7 @@ func (e *Engine) ServeStats() ServeStats {
 // Draining reports whether the engine is refusing new work while
 // finishing in-flight requests (the daemon's health probe).
 func (e *Engine) Draining() bool {
-	e.mu.Lock()
-	s := e.srv
-	e.mu.Unlock()
+	s := e.serving()
 	if s == nil {
 		return false
 	}
@@ -475,9 +524,7 @@ func (e *Engine) Draining() bool {
 // ServeStats it takes no per-window copies and never walks the prefix
 // cache.
 func (e *Engine) QueueLen() int {
-	e.mu.Lock()
-	s := e.srv
-	e.mu.Unlock()
+	s := e.serving()
 	if s == nil {
 		return 0
 	}
@@ -486,9 +533,7 @@ func (e *Engine) QueueLen() int {
 
 // Serving reports whether a Serve loop is accepting submissions.
 func (e *Engine) Serving() bool {
-	e.mu.Lock()
-	s := e.srv
-	e.mu.Unlock()
+	s := e.serving()
 	if s == nil {
 		return false
 	}
@@ -497,113 +542,61 @@ func (e *Engine) Serving() bool {
 	return !s.stopped && !s.draining
 }
 
-// admitLive moves a queued request into a batching slot: prefill both
-// sessions and record its admission time. A request whose context is
-// already dead is retired immediately instead.
-func (e *Engine) admitLive(s *serveState, lr *liveReq) *reqState {
-	if err := lr.ctx.Err(); err != nil {
-		s.mu.Lock()
-		s.canceled++
-		s.mu.Unlock()
-		lr.finish(Result{
-			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-			Err:           err,
-			Latency:       s.clock().Sub(lr.submitted),
-		})
-		return nil
-	}
-	lr.started = s.clock()
-	st := e.admit(lr.req)
-	st.live = lr
-	return st
+// serving returns the running Serve loop's state, or nil.
+func (e *Engine) serving() *serveState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.srv
 }
 
-// sweepCancelled retires every active request whose context has been
-// cancelled or has expired, releasing its session (and thereby its KV
-// pages) before the next iteration is paid for.
-func (e *Engine) sweepCancelled(s *serveState, active []*reqState) []*reqState {
-	still := active[:0]
-	for _, st := range active {
-		if err := st.live.ctx.Err(); err != nil {
-			e.finishLive(s, st, err)
+// refuse retires a request that never reached a batching slot.
+func (s *serveState) refuse(lr *liveReq, err error) {
+	lr.finish(Result{
+		RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
+		Err:           err,
+		Latency:       s.clock().Sub(lr.submitted),
+	})
+}
+
+// dequeue removes the queued requests that match from the admission
+// queue, keeps the rest in arrival order, and counts the removed ones
+// cancelled. Draining and requeuing the channel under s.mu is
+// race-free: Submit only sends while holding s.mu, so no send can
+// interleave with the drain-filter-requeue cycle.
+func (s *serveState) dequeue(match func(*liveReq) bool) []*liveReq {
+	var out []*liveReq
+	s.mu.Lock()
+	for i, n := 0, len(s.admit); i < n; i++ {
+		lr := <-s.admit
+		if match(lr) {
+			out = append(out, lr)
 		} else {
-			still = append(still, st)
+			s.admit <- lr
 		}
 	}
-	return still
-}
-
-// finishLive retires one live request: release its sessions, deliver
-// the Result, and record its latency.
-func (e *Engine) finishLive(s *serveState, st *reqState, err error) {
-	e.release(st)
-	now := s.clock()
-	res := Result{
-		RequestResult: st.res,
-		Err:           err,
-		QueueDelay:    st.live.started.Sub(st.live.submitted),
-		Latency:       now.Sub(st.live.submitted),
-	}
-	s.mu.Lock()
-	if err == nil {
-		s.completed++
-	} else {
-		s.canceled++
-	}
-	s.latency.Add(res.Latency.Seconds())
-	s.queueDelay.Add(res.QueueDelay.Seconds())
+	s.canceled += uint64(len(out))
 	s.mu.Unlock()
-	st.live.finish(res)
+	return out
 }
 
 // sweepQueue retires queued-but-unadmitted requests whose context is
 // already cancelled or expired. Without it a dead request occupies its
 // admission-queue slot until a batch slot frees up to admit (and only
 // then discard) it, so a queue full of dead requests bounces live
-// Submit calls with ErrQueueFull. Draining and requeuing the channel
-// under s.mu is race-free: Submit only sends while holding s.mu, so no
-// send can interleave with the drain-filter-requeue cycle and the
-// survivors keep their arrival order.
-func (e *Engine) sweepQueue(s *serveState) {
-	var dead []*liveReq
-	s.mu.Lock()
-	for i, n := 0, len(s.admit); i < n; i++ {
-		lr := <-s.admit
-		if lr.ctx.Err() != nil {
-			dead = append(dead, lr)
-		} else {
-			s.admit <- lr
-		}
-	}
-	s.canceled += uint64(len(dead))
-	s.mu.Unlock()
-	for _, lr := range dead {
-		lr.finish(Result{
-			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-			Err:           lr.ctx.Err(),
-			Latency:       s.clock().Sub(lr.submitted),
-		})
+// Submit calls with ErrQueueFull.
+func (s *serveState) sweepQueue() {
+	for _, lr := range s.dequeue(func(lr *liveReq) bool { return lr.ctx.Err() != nil }) {
+		s.refuse(lr, lr.ctx.Err())
 	}
 }
 
 // rejectQueued retires every queued-but-unadmitted request with
-// ErrDraining, called the moment drain starts. Submit already rejects
-// under s.draining, so once the queue is emptied here no new request
-// can enter it.
-func (e *Engine) rejectQueued(s *serveState) {
-	var queued []*liveReq
-	s.mu.Lock()
-	for i, n := 0, len(s.admit); i < n; i++ {
-		queued = append(queued, <-s.admit)
-	}
-	s.canceled += uint64(len(queued))
-	s.mu.Unlock()
-	for _, lr := range queued {
-		lr.finish(Result{
-			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-			Err:           ErrDraining,
-			Latency:       s.clock().Sub(lr.submitted),
-		})
+// ErrDraining. Called when drain starts (Submit already rejects under
+// s.draining) and when the loop stops (Submit already fails under
+// s.stopped), so once the queue is emptied no new request can enter it.
+func (s *serveState) rejectQueued() {
+	for _, lr := range s.dequeue(func(*liveReq) bool { return true }) {
+		s.refuse(lr, ErrDraining)
 	}
 }
 
@@ -617,23 +610,7 @@ func (e *Engine) stopServing(s *serveState) {
 	s.mu.Lock()
 	s.stopped = true
 	s.mu.Unlock()
-	// No sender can reach s.admit anymore (Submit checks stopped under
-	// the same locks), so draining the buffer retires every straggler.
-	for {
-		select {
-		case lr := <-s.admit:
-			s.mu.Lock()
-			s.canceled++
-			s.mu.Unlock()
-			lr.finish(Result{
-				RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-				Err:           ErrDraining,
-				Latency:       s.clock().Sub(lr.submitted),
-			})
-		default:
-			return
-		}
-	}
+	s.rejectQueued()
 }
 
 func (s *serveState) setDraining() {

@@ -73,7 +73,7 @@ type Session interface {
 // Varianter is optionally implemented by Models that expose named
 // execution variants of themselves — alternative kernel/cache
 // configurations over the same weights (the transformer's "paged",
-// "slice", "reference", and "quantized" views). Variant returns the
+// "reference", and "quantized" views). Variant returns the
 // variant model and true, or false for an unknown name; the empty name
 // must resolve to the model's default configuration. The serving engine
 // uses it for core.Config.Variant selection.

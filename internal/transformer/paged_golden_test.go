@@ -10,13 +10,10 @@ import (
 )
 
 // Golden tests for the paged head-major KV arena and the intra-forward
-// attention pool. Three session variants of the same weights must agree
-// float-for-float on every distribution under every attention-worker
-// count:
-//
-//   - the default session (batched forward, paged arena, pooled attention),
-//   - the SliceCache() view (batched forward, PR 2 per-position slice cache),
-//   - the Reference() view (scalar forward, slice cache).
+// attention pool. The default session (batched forward, paged arena,
+// pooled attention) must agree float-for-float with the Reference() view
+// (scalar forward, its own slice cache) on every distribution under every
+// attention-worker count.
 //
 // Any drift means the paged layout or the worker sharding changed the
 // arithmetic, which would silently alter acceptance decisions downstream.
@@ -33,8 +30,8 @@ func attnWorkerCounts() []int {
 	return counts
 }
 
-// TestPagedForwardBitExactThreeWay drives the three session variants
-// through an identical serving history — prefill, incremental decodes,
+// TestPagedForwardBitExactThreeWay drives the paged and reference
+// sessions through an identical serving history — prefill, incremental decodes,
 // tree decodes over random trees, accepts whose tail carries ≥3 off-tree
 // tokens (the batched Accept tail) — for both architectures and every
 // attention-worker count.
@@ -47,35 +44,32 @@ func TestPagedForwardBitExactThreeWay(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/attnworkers=%d", cfg.Arch, workers), func(t *testing.T) {
 				m := New(cfg)
 				paged := m.NewSession()
-				slice := m.SliceCache().NewSession()
 				ref := m.Reference().NewSession()
 				rng := tensor.NewRNG(777)
 
-				check := func(ctx string, dp, ds, dr []float32) {
+				check := func(ctx string, dp, dr []float32) {
 					t.Helper()
 					requireExact(t, ctx+" paged-vs-ref", dp, dr)
-					requireExact(t, ctx+" slice-vs-ref", ds, dr)
 				}
 
 				prompt := make([]model.Token, 10)
 				for i := range prompt {
 					prompt[i] = rng.Intn(cfg.Vocab)
 				}
-				check("prefill", paged.Prefill(prompt), slice.Prefill(prompt), ref.Prefill(prompt))
+				check("prefill", paged.Prefill(prompt), ref.Prefill(prompt))
 
 				last := prompt[len(prompt)-1]
 				for round := 0; round < 3; round++ {
 					ctx := fmt.Sprintf("round %d", round)
 					tok := rng.Intn(cfg.Vocab)
-					check(ctx+" decode", paged.Decode(tok), slice.Decode(tok), ref.Decode(tok))
+					check(ctx+" decode", paged.Decode(tok), ref.Decode(tok))
 					last = tok
 
 					tr := randomTree(rng, last, cfg.Vocab)
 					dp := paged.DecodeTree(tr)
-					ds := slice.DecodeTree(tr)
 					dr := ref.DecodeTree(tr)
 					for id := 0; id < tr.Len(); id++ {
-						check(fmt.Sprintf("%s tree node %d", ctx, id), dp[id], ds[id], dr[id])
+						check(fmt.Sprintf("%s tree node %d", ctx, id), dp[id], dr[id])
 					}
 
 					// Accept a random root path (KV reuse straight from tree
@@ -91,12 +85,11 @@ func TestPagedForwardBitExactThreeWay(t *testing.T) {
 					for b := 0; b < 3; b++ {
 						accepted = append(accepted, rng.Intn(cfg.Vocab))
 					}
-					check(ctx+" accept", paged.Accept(accepted), slice.Accept(accepted), ref.Accept(accepted))
+					check(ctx+" accept", paged.Accept(accepted), ref.Accept(accepted))
 					last = accepted[len(accepted)-1]
 				}
-				if paged.Len() != ref.Len() || slice.Len() != ref.Len() {
-					t.Fatalf("session lengths diverged: paged %d slice %d ref %d",
-						paged.Len(), slice.Len(), ref.Len())
+				if paged.Len() != ref.Len() {
+					t.Fatalf("session lengths diverged: paged %d ref %d", paged.Len(), ref.Len())
 				}
 			})
 		}
@@ -125,7 +118,7 @@ func TestAttnWorkersDefaultMatchesExplicit(t *testing.T) {
 
 // TestSessionCloseAndCacheBytes covers the optional model interfaces: a
 // session reports its KV footprint (page storage for the arena, exact row
-// bytes for the slice cache), and Close releases everything.
+// bytes for the reference slice cache), and Close releases everything.
 func TestSessionCloseAndCacheBytes(t *testing.T) {
 	cfg := goldenConfigs()[0]
 	m := New(cfg)
@@ -148,14 +141,14 @@ func TestSessionCloseAndCacheBytes(t *testing.T) {
 		t.Fatalf("cache bytes shrank after decode: %d -> %d", afterPrefill, got)
 	}
 
-	slice := m.SliceCache().NewSession().(*Session)
-	slice.Prefill(prompt)
-	wantSlice := 2 * len(prompt) * cfg.Layers * cfg.Hidden * 4 // K and V rows
-	if got := slice.CacheBytes(); got != wantSlice {
-		t.Fatalf("slice cache bytes = %d, want %d", got, wantSlice)
+	ref := m.Reference().NewSession().(*Session)
+	ref.Prefill(prompt)
+	wantRef := 2 * len(prompt) * cfg.Layers * cfg.Hidden * 4 // K and V rows
+	if got := ref.CacheBytes(); got != wantRef {
+		t.Fatalf("reference cache bytes = %d, want %d", got, wantRef)
 	}
 
-	for _, s := range []*Session{paged, slice} {
+	for _, s := range []*Session{paged, ref} {
 		s.Close()
 		if s.CacheBytes() != 0 {
 			t.Fatal("CacheBytes nonzero after Close")

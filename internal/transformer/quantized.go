@@ -73,7 +73,7 @@ type quantModel struct{ *Model }
 
 // Quantized returns a model.Model view of m whose sessions stream 7-bit
 // block-quantized weights through the integer matmul kernel over the
-// paged KV arena. Unlike Reference() and SliceCache(), this view is NOT
+// paged KV arena. Unlike Reference(), this view is NOT
 // bit-exact with the float paths — it trades bounded quantization error
 // for roughly half the weight bytes per matmul (see the package comment
 // and DESIGN.md §12). The quantized weights are built lazily on the
@@ -96,14 +96,11 @@ func (qm quantModel) NewSession() model.Session {
 // Variant implements model.Varianter: it resolves a named view of the
 // model for Config-level variant selection (internal/core, the CLIs).
 // The empty name and "paged" are the default batched/paged model itself;
-// "slice", "reference", and "quantized" are the SliceCache, Reference,
-// and Quantized views.
+// "reference" and "quantized" are the Reference and Quantized views.
 func (m *Model) Variant(name string) (model.Model, bool) {
 	switch name {
 	case "", "paged":
 		return m, true
-	case "slice":
-		return m.SliceCache(), true
 	case "reference":
 		return m.Reference(), true
 	case "quantized":

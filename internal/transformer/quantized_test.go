@@ -168,7 +168,6 @@ func TestVariantResolution(t *testing.T) {
 	for name, wantName := range map[string]string{
 		"":          m.Name(),
 		"paged":     m.Name(),
-		"slice":     m.SliceCache().Name(),
 		"reference": m.Reference().Name(),
 		"quantized": m.Quantized().Name(),
 	} {

@@ -219,10 +219,9 @@ func (m *Model) NewSession() model.Session {
 }
 
 // Session is the per-request state: a grown-on-demand KV cache (the
-// paged head-major arena by default, the pre-paging per-position slice
-// layout for reference/baseline sessions) plus the scratch K/V from the
-// last tree-parallel decode, kept so Accept can commit verified rows
-// without recomputation.
+// paged head-major arena, or the per-position slice layout of Reference()
+// sessions) plus the scratch K/V from the last tree-parallel decode, kept
+// so Accept can commit verified rows without recomputation.
 type Session struct {
 	m     *Model
 	scr   *tensor.Scratch   // reusable forward-pass buffers (batched path)
@@ -231,9 +230,8 @@ type Session struct {
 	quant *quantWeights     // non-nil: projection matmuls run quantized (quantized.go)
 
 	// Exactly one cache backend is active. cache is the paged head-major
-	// arena (default sessions); cacheK/cacheV is the legacy slice layout
-	// [layer][pos][hidden] kept for Reference() and SliceCache() sessions
-	// so the old layout stays measurable and bit-exactly comparable.
+	// arena (every batched session); cacheK/cacheV is the slice layout
+	// [layer][pos][hidden] of the scalar Reference() oracle.
 	cache  *kvcache.Arena
 	cacheK [][][]float32
 	cacheV [][][]float32
@@ -326,14 +324,9 @@ func (s *Session) prefillChunked(tokens []model.Token, firstPos int) []float32 {
 }
 
 // Arena exposes the session's paged KV arena for cross-request prefix
-// sharing (nil for reference and slice-cache sessions, which keep the
-// pre-paging layout and cannot alias pages).
-func (s *Session) Arena() *kvcache.Arena {
-	if s.ref {
-		return nil
-	}
-	return s.cache
-}
+// sharing (nil for reference sessions, which keep the slice layout and
+// cannot alias pages).
+func (s *Session) Arena() *kvcache.Arena { return s.cache }
 
 // PrefillShared is Prefill with the leading h.Len() prompt tokens served
 // from a cached prefix instead of recomputed: the shared pages are
@@ -355,7 +348,7 @@ func (s *Session) PrefillShared(h *kvcache.PinnedPrefix, prompt []model.Token) [
 	if s.n != 0 {
 		panic("transformer: PrefillShared on non-empty session")
 	}
-	if s.ref || s.cache == nil {
+	if s.ref {
 		panic("transformer: PrefillShared requires the paged arena")
 	}
 	p := h.Len()
@@ -517,7 +510,7 @@ func (s *Session) invalidateTree() {
 
 // commitRows appends a forward pass's K/V rows to the committed cache:
 // head-segment memcpys into the paged arena, or per-position row appends
-// for the legacy slice cache of reference/baseline sessions.
+// for the slice cache of reference sessions.
 func (s *Session) commitRows(k, v [][][]float32) {
 	if s.cache != nil {
 		nNew := len(k[0])
@@ -551,7 +544,7 @@ func (s *Session) Close() {
 
 // CacheBytes implements model.CacheSizer: the bytes of KV-cache storage
 // the session currently holds (page storage for the arena, exact row
-// bytes for the slice cache).
+// bytes for the reference slice cache).
 func (s *Session) CacheBytes() int {
 	if s.cache != nil {
 		return s.cache.Bytes()
@@ -700,47 +693,27 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		// Attention per (token, head) over cached positions + allowed new
 		// ones. The topology guarantees a token only attends new tokens
 		// that precede it in the linearization. The cached segment is
-		// dense (every new token sees the whole committed context): with
-		// the paged arena each head's keys/values are read as at most a
+		// dense (every new token sees the whole committed context): each
+		// head's keys/values are read from the paged arena as at most a
 		// handful of contiguous page slices streamed by the contiguous
-		// kernels; slice-cache sessions keep the PR 2 per-head views
-		// built once per layer. The raw dots are scaled in a separate
-		// pass either way, preserving the reference's dot-then-scale
-		// rounding exactly. Work items are (token, head) pairs with
+		// kernels. The raw dots are scaled in a separate pass, preserving
+		// the reference's dot-then-scale rounding exactly. Work items are (token, head) pairs with
 		// disjoint output spans, so runAttention may shard them across
 		// the session's worker pool without changing a single bit.
-		var cachedK, cachedV [][]float32
-		var kViews [][]float32
-		if s.cache == nil && nCached > 0 {
-			cachedK, cachedV = s.cacheK[l], s.cacheV[l]
-			kViews = scr.Rows("kviews", nCached*cfg.Heads)
-			for h := 0; h < cfg.Heads; h++ {
-				for j := 0; j < nCached; j++ {
-					kViews[h*nCached+j] = cachedK[j][h*hd : (h+1)*hd]
-				}
-			}
-		}
-		pageRows := 0
-		if s.cache != nil {
-			pageRows = s.cache.PageRows()
-		}
+		pageRows := s.cache.PageRows()
 		attend := func(i, h int, scoreBuf []float32) {
 			qi, oi := q.Row(i), attnOut.Row(i)
 			scores := scoreBuf[:nCached+i+1]
 			qh := qi[h*hd : (h+1)*hd]
 			if nCached > 0 {
-				if s.cache != nil {
-					pages := s.cache.KPages(l, h)
-					for p, o := 0, 0; o < nCached; p++ {
-						rows := pageRows
-						if rows > nCached-o {
-							rows = nCached - o
-						}
-						tensor.DotRowsContig4(qh, pages[p], scores[o:o+rows])
-						o += rows
+				pages := s.cache.KPages(l, h)
+				for p, o := 0, 0; o < nCached; p++ {
+					rows := pageRows
+					if rows > nCached-o {
+						rows = nCached - o
 					}
-				} else {
-					tensor.DotRows4(qh, kViews[h*nCached:(h+1)*nCached], scores[:nCached])
+					tensor.DotRowsContig4(qh, pages[p], scores[o:o+rows])
+					o += rows
 				}
 				for j := 0; j < nCached; j++ {
 					scores[j] *= scale
@@ -759,22 +732,14 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 				oh[d] = 0
 			}
 			if nCached > 0 {
-				if s.cache != nil {
-					pages := s.cache.VPages(l, h)
-					for p, o := 0, 0; o < nCached; p++ {
-						rows := pageRows
-						if rows > nCached-o {
-							rows = nCached - o
-						}
-						tensor.AttnAccumContig(scores[o:o+rows], pages[p], oh)
-						o += rows
+				pages := s.cache.VPages(l, h)
+				for p, o := 0, 0; o < nCached; p++ {
+					rows := pageRows
+					if rows > nCached-o {
+						rows = nCached - o
 					}
-				} else {
-					for j := 0; j < nCached; j++ {
-						if scores[j] != 0 {
-							tensor.Axpy(scores[j], cachedV[j][h*hd:(h+1)*hd], oh)
-						}
-					}
+					tensor.AttnAccumContig(scores[o:o+rows], pages[p], oh)
+					o += rows
 				}
 			}
 			for j := 0; j <= i; j++ {
